@@ -13,7 +13,6 @@
 package palmsim_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -23,7 +22,6 @@ import (
 	"palmsim"
 	"palmsim/internal/cache"
 	"palmsim/internal/dtrace"
-	"palmsim/internal/exp"
 	"palmsim/internal/gremlin"
 	"palmsim/internal/obs"
 	"palmsim/internal/sweep"
@@ -278,58 +276,6 @@ func BenchmarkDesktopSweepStreaming(b *testing.B) {
 		if _, err := sweep.Run(context.Background(), cfgs, dtrace.NewStream(cfg), sweep.Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPartitionedSweep measures the PALMIDX1 partitioned decode:
-// the packed session trace swept through the stack engine with one
-// serial decoder versus K concurrent range decoders multiplexed in
-// trace order. Decoding is the serial bottleneck of packed-trace
-// sweeps, so partitions-k4 versus serial-decode is the headline number
-// EXPERIMENTS.md records (results are bit-identical by construction —
-// TestPartitionedSweepMatchesSerialOnSessionTrace guards that).
-func BenchmarkPartitionedSweep(b *testing.B) {
-	_, trace := benchSetup(b)
-	packed, err := dtrace.PackTraceIndexed(trace, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfgs := cache.PaperSweep()
-	run := func(b *testing.B, open func() (sweep.Source, error)) {
-		b.SetBytes(int64(len(trace) * 4))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src, err := open()
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, err = sweep.Run(context.Background(), cfgs, src, sweep.Options{})
-			if cl, ok := src.(interface{ Close() error }); ok {
-				cl.Close()
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial-decode", func(b *testing.B) {
-		run(b, func() (sweep.Source, error) {
-			return dtrace.NewPackedSource(bytes.NewReader(packed))
-		})
-	})
-	for _, k := range []int{1, 4, 8} {
-		// "k4", not "-4": a trailing -N is indistinguishable from the
-		// GOMAXPROCS suffix benchdelta strips when matching rows.
-		b.Run(fmt.Sprintf("partitions-k%d", k), func(b *testing.B) {
-			run(b, func() (sweep.Source, error) {
-				st, err := exp.OpenSeekableBytes(packed)
-				if err != nil {
-					return nil, err
-				}
-				return sweep.NewPartitionedSource(st, k, 0)
-			})
-		})
 	}
 }
 

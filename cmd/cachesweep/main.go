@@ -38,19 +38,18 @@
 // candidate L2. -plan prints the resolved engine plan — units, shared-L1
 // groups, fused hierarchies, fallbacks — and exits without simulating.
 //
-// OPT (Belady's optimal) buffers the whole trace for its backward
-// next-use pass; it is therefore rejected (exit 2) under -partitions,
-// whose point is streaming range decode. -write-policy needs a
-// kind-carrying trace (a session replay, a din file, or a packed trace
-// recorded with kinds) and is rejected with a clear error on
-// address-only traces.
+// Exactly one trace input is allowed: combining -trace, -din, -desktop
+// and -session is bad usage (exit 2). OPT (Belady's optimal) buffers the
+// whole trace for its backward next-use pass, so its memory grows with
+// trace length. -write-policy needs a kind-carrying trace (a session
+// replay, a din file, or a packed trace recorded with kinds) and is
+// rejected with a clear error on address-only traces.
 //
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -97,7 +96,6 @@ func main() {
 	algo := flag.String("algo", "auto", "sweep engine: auto, direct or stack")
 	crossValidate := flag.Bool("crossvalidate", false, "run both engines over the trace and verify bit-identical results")
 	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
-	partitions := flag.Int("partitions", 0, "decode an indexed packed -trace with this many concurrent range decoders (0 = serial decode)")
 	chunk := flag.Int("chunk", 0, "references per streamed chunk (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint sidecar file: saved periodically and on interrupt")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "chunks between checkpoint saves (0 = default)")
@@ -127,7 +125,6 @@ func main() {
 		algo:            *algo,
 		crossValidate:   *crossValidate,
 		workers:         *workers,
-		partitions:      *partitions,
 		chunk:           *chunk,
 		checkpoint:      *checkpoint,
 		checkpointEvery: *checkpointEvery,
@@ -140,7 +137,6 @@ func main() {
 type config struct {
 	traceFile, traceFormat, dinFile  string
 	sessionNum, refs, workers, chunk int
-	partitions                       int
 	desktop, crossValidate, resume   bool
 	policy, policies, algo           string
 	writePolicy, checkpoint          string
@@ -183,10 +179,7 @@ func run(ctx context.Context, c *config) (code int) {
 		c.obsFlags.SetStatus("interrupted")
 		fmt.Fprintln(os.Stderr, "cachesweep: interrupted:", err)
 		return exitInterrupted
-	case isUsage(err) || errors.Is(err, simerr.ErrUnsupportedPlan):
-		// Unsupported plans (e.g. OPT under -partitions) are flag
-		// combinations the engine refuses by design, not runtime
-		// failures: surface them as usage errors.
+	case isUsage(err):
 		c.obsFlags.SetStatus("failed")
 		fmt.Fprintln(os.Stderr, "cachesweep:", err)
 		return exitUsage
@@ -237,6 +230,9 @@ func sweepMain(ctx context.Context, c *config) error {
 		return usageError{fmt.Errorf("unknown engine %q (want auto, direct or stack)", c.algo)}
 	}
 
+	if inputs := inputFlags(c); len(inputs) > 1 {
+		return usageError{fmt.Errorf("%s are mutually exclusive: give exactly one trace input", strings.Join(inputs, ", "))}
+	}
 	// newSource opens a fresh pass over the selected trace; the
 	// cross-validation mode needs two.
 	var newSource func() (sweep.Source, error)
@@ -250,17 +246,6 @@ func sweepMain(ctx context.Context, c *config) error {
 			return attachSourceObs(exp.NewDineroSource(f), reg), nil
 		}
 		fmt.Printf("streaming din references from %s\n", c.dinFile)
-	case c.traceFile != "" && c.partitions > 0:
-		// Partitioned decode needs the PALMIDX1 index; validate it (and
-		// report how many ranges the index supports) before sweeping.
-		// runOnce routes this mode through sweep.RunPartitioned, which
-		// owns the range decoders — newSource stays nil.
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("streaming %d packed references from %s across %d partitions\n",
-			t.TotalRefs(), c.traceFile, len(t.SplitPoints(c.partitions))-1)
 	case c.traceFile != "":
 		newSource = func() (sweep.Source, error) {
 			src, err := openTraceFile(c.traceFile, c.traceFormat)
@@ -302,9 +287,6 @@ func sweepMain(ctx context.Context, c *config) error {
 	default:
 		return usageError{fmt.Errorf("need one of -trace, -din, -session or -desktop")}
 	}
-	if c.partitions > 0 && c.traceFile == "" {
-		return usageError{fmt.Errorf("-partitions requires an indexed packed -trace file")}
-	}
 	if c.resume && c.checkpoint == "" {
 		return usageError{fmt.Errorf("-resume requires -checkpoint")}
 	}
@@ -329,7 +311,6 @@ func sweepMain(ctx context.Context, c *config) error {
 		CheckpointPath:        c.checkpoint,
 		CheckpointEveryChunks: c.checkpointEvery,
 		Resume:                c.resume,
-		Partitions:            c.partitions,
 	}
 	if c.l2Sizes != "" {
 		hs, err := hierarchyGrid(cfgs, c, wp)
@@ -358,7 +339,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		return nil
 	}
 
-	results, err := runOnce(ctx, c, cfgs, newSource, opts)
+	results, err := runOnce(ctx, cfgs, newSource, opts)
 	if err != nil {
 		if c.checkpoint != "" && simerr.IsCanceled(err) {
 			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
@@ -371,7 +352,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		vopts := opts
 		vopts.CheckpointPath = ""
 		vopts.Resume = false
-		if err := crossValidateEngines(ctx, c, cfgs, newSource, vopts, results); err != nil {
+		if err := crossValidateEngines(ctx, cfgs, newSource, vopts, results); err != nil {
 			return err
 		}
 		c.obsFlags.Note("crossvalidate", "OK")
@@ -414,6 +395,24 @@ func sweepMain(ctx context.Context, c *config) error {
 		fmt.Print(pt)
 	}
 	return nil
+}
+
+// inputFlags names the trace-input flags set on the command line.
+func inputFlags(c *config) []string {
+	var set []string
+	if c.traceFile != "" {
+		set = append(set, "-trace")
+	}
+	if c.dinFile != "" {
+		set = append(set, "-din")
+	}
+	if c.desktop {
+		set = append(set, "-desktop")
+	}
+	if c.sessionNum != 0 {
+		set = append(set, "-session")
+	}
+	return set
 }
 
 // parseIntList parses a comma-separated list of positive integers.
@@ -495,7 +494,7 @@ func hierarchyMain(ctx context.Context, c *config, hs []cache.Hierarchy, newSour
 		return nil
 	}
 
-	results, err := runHierOnce(ctx, c, hs, newSource, opts)
+	results, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		if c.checkpoint != "" && simerr.IsCanceled(err) {
 			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
@@ -597,17 +596,8 @@ func openTraceFile(path, format string) (sweep.Source, error) {
 }
 
 // runOnce opens a fresh source, sweeps it, and closes the source when it
-// owns resources (partitioned decoders hold goroutines and file handles).
-// Partitioned mode routes through sweep.RunPartitioned, so the engine's
-// own plan checks — OPT is incompatible with range decode — apply.
-func runOnce(ctx context.Context, c *config, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
-	if c.partitions > 0 {
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return nil, err
-		}
-		return sweep.RunPartitioned(ctx, cfgs, t, opts)
-	}
+// owns resources.
+func runOnce(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
 	src, err := newSource()
 	if err != nil {
 		return nil, err
@@ -622,14 +612,7 @@ func runOnce(ctx context.Context, c *config, cfgs []cache.Config, newSource func
 }
 
 // runHierOnce is runOnce for hierarchy sweeps.
-func runHierOnce(ctx context.Context, c *config, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
-	if c.partitions > 0 {
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return nil, err
-		}
-		return sweep.RunPartitionedHierarchies(ctx, hs, t, opts)
-	}
+func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
 	src, err := newSource()
 	if err != nil {
 		return nil, err
@@ -646,14 +629,14 @@ func runHierOnce(ctx context.Context, c *config, hs []cache.Hierarchy, newSource
 // crossValidateEngines re-runs the sweep on the engine not used for the
 // headline results and verifies every per-configuration counter matches
 // bit for bit.
-func crossValidateEngines(ctx context.Context, c *config, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options, got []cache.Result) error {
+func crossValidateEngines(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options, got []cache.Result) error {
 	ran := opts.Engine
 	other := sweep.EngineDirect
 	if ran == sweep.EngineDirect {
 		other = sweep.EngineStack
 	}
 	opts.Engine = other
-	want, err := runOnce(ctx, c, cfgs, newSource, opts)
+	want, err := runOnce(ctx, cfgs, newSource, opts)
 	if err != nil {
 		return fmt.Errorf("cross-validation sweep (%v engine): %w", other, err)
 	}

@@ -70,7 +70,7 @@ func writeTestDin(t *testing.T) string {
 }
 
 // writeIndexedPackedTrace writes a small PALMPKD1 trace with a PALMIDX1
-// footer, the input format -partitions requires.
+// footer, as cmd/palmsim -trace-format packed does.
 func writeIndexedPackedTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "indexed.ptrace")
@@ -295,43 +295,71 @@ func TestPlanDryRun(t *testing.T) {
 	}
 }
 
-// TestPartitionedOptExitsUsage is the exit-code contract for unsupported
-// plans: OPT needs the whole trace for its backward next-use pass, so
-// requesting it under -partitions must exit 2 (bad usage), not 1, and
-// name the offending configuration.
-func TestPartitionedOptExitsUsage(t *testing.T) {
+// TestIndexedPackedTraceSweeps: a packed trace carrying a PALMIDX1
+// footer is an ordinary -trace input — every policy, OPT included, and
+// hierarchy sweeps decode it serially like any other packed trace.
+func TestIndexedPackedTraceSweeps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
 	}
 	trace := writeIndexedPackedTrace(t)
-	out, err := runCachesweep(t, "-trace "+trace+" -partitions 2 -policy OPT")
-	if err == nil {
-		t.Fatalf("partitioned OPT sweep exited zero:\n%s", out)
-	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("subprocess did not run: %v", err)
-	}
-	if code := ee.ExitCode(); code != 2 {
-		t.Errorf("exit code = %d, want 2 (usage)", code)
-	}
-	if !strings.Contains(out, "unsupported plan") || !strings.Contains(out, "OPT") {
-		t.Errorf("error does not name the unsupported plan:\n%s", out)
-	}
-	// The same trace sweeps fine partitioned under LRU...
-	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2 -policy LRU")
+	out, err := runCachesweep(t, "-trace "+trace+" -policies LRU,OPT")
 	if err != nil {
-		t.Fatalf("partitioned LRU sweep failed: %v\n%s", err, out)
+		t.Fatalf("indexed packed LRU+OPT sweep failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "across 2 partitions") {
-		t.Errorf("output missing the partition count:\n%s", out)
+	if !strings.Contains(out, "streaming packed references") || !strings.Contains(out, "112-configuration sweep (LRU,OPT)") {
+		t.Errorf("output missing the packed banner or the LRU+OPT grid:\n%s", out)
 	}
-	// ...and partitioned hierarchy sweeps take the same road.
-	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2 -l2-sizes 32")
+	out, err = runCachesweep(t, "-trace "+trace+" -l2-sizes 32")
 	if err != nil {
-		t.Fatalf("partitioned hierarchy sweep failed: %v\n%s", err, out)
+		t.Fatalf("indexed packed hierarchy sweep failed: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "56-hierarchy sweep") {
-		t.Errorf("partitioned hierarchy output missing results:\n%s", out)
+		t.Errorf("hierarchy output missing results:\n%s", out)
+	}
+}
+
+// TestConflictingInputsExitUsage: -trace, -din, -desktop and -session
+// each select the whole trace, so combining any two is bad usage (exit
+// 2) with a message naming both flags, never a silent precedence rule.
+func TestConflictingInputsExitUsage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess sweep in -short mode")
+	}
+	trace := writeTestTrace(t)
+	din := writeTestDin(t)
+	for _, tc := range []struct {
+		args  string
+		flags []string
+	}{
+		{"-trace " + trace + " -din " + din, []string{"-trace", "-din"}},
+		{"-desktop -session 1", []string{"-desktop", "-session"}},
+		{"-trace " + trace + " -desktop", []string{"-trace", "-desktop"}},
+		{"-din " + din + " -session 2", []string{"-din", "-session"}},
+	} {
+		out, err := runCachesweep(t, tc.args)
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s: want exit 2, got %v:\n%s", tc.args, err, out)
+		}
+		if code := ee.ExitCode(); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2 (usage)", tc.args, code)
+		}
+		for _, f := range tc.flags {
+			if !strings.Contains(out, f) {
+				t.Errorf("%s: message does not name %s:\n%s", tc.args, f, out)
+			}
+		}
+		if !strings.Contains(out, "mutually exclusive") {
+			t.Errorf("%s: message does not explain the conflict:\n%s", tc.args, out)
+		}
+	}
+	// One input alone still sweeps.
+	out, err := runCachesweep(t, "-din "+din)
+	if err != nil {
+		t.Fatalf("single -din sweep failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "56-configuration sweep (LRU)") {
+		t.Errorf("single-input output missing results:\n%s", out)
 	}
 }

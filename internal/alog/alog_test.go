@@ -1,6 +1,7 @@
 package alog
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -164,4 +165,37 @@ func TestLogRoundTripQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzUnmarshalLog: activity logs are read from external files, so
+// decoding must never panic, and any input that decodes must re-marshal
+// to bytes that decode to the same records — a fixed point after one
+// round (trailing bytes past the claimed records are dropped).
+func FuzzUnmarshalLog(f *testing.F) {
+	f.Add(sampleLog().Marshal())
+	f.Add((&Log{}).Marshal())
+	f.Add(append(sampleLog().Marshal(), 0xFF, 0x00))
+	f.Add([]byte("PALMALOG"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		out := l.Marshal()
+		again, err := Unmarshal(out)
+		if err != nil {
+			t.Fatalf("re-marshalled log does not decode: %v", err)
+		}
+		if again.Len() != l.Len() {
+			t.Fatalf("re-decoded %d records, want %d", again.Len(), l.Len())
+		}
+		for i := range l.Records {
+			if again.Records[i] != l.Records[i] {
+				t.Fatalf("record %d = %+v, want %+v", i, again.Records[i], l.Records[i])
+			}
+		}
+		if !bytes.Equal(again.Marshal(), out) {
+			t.Fatal("marshal is not a fixed point after one round trip")
+		}
+	})
 }

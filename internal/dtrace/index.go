@@ -7,8 +7,8 @@
 // emulated tick, and appends the table as a self-locating footer after
 // the end-of-trace marker. A reader can then restore the predictor
 // snapshot, seek to the block's byte offset, and resume decoding
-// bit-identically — which is what enables partitioned sweeps of a single
-// trace (internal/sweep) and replay-to-tick fast-forwards.
+// bit-identically from any indexed boundary (SeekRef, SeekTick) instead
+// of decoding the whole prefix.
 //
 // Footer layout, all little-endian, written after the 0 end marker:
 //
@@ -221,8 +221,8 @@ var ErrNoIndex = errors.New("dtrace: packed trace has no index")
 
 // IndexedTrace is an opened packed trace with a validated index: a
 // factory for independently seekable decoders over one underlying trace.
-// Every OpenRange/SeekRef/SeekTick call opens its own reader, so ranges
-// decode concurrently without sharing file-position state.
+// Every SeekRef/SeekTick call opens its own reader, so decoders never
+// share file-position state.
 type IndexedTrace struct {
 	idx  *Index
 	open func() (io.ReadSeeker, io.Closer, error)
@@ -309,47 +309,22 @@ func (t *IndexedTrace) Index() *Index { return t.idx }
 // TotalRefs returns the trace's reference count.
 func (t *IndexedTrace) TotalRefs() uint64 { return t.idx.TotalRefs }
 
-// SplitPoints returns at most k+1 ascending reference ordinals — always
-// starting at 0 and ending at TotalRefs — each cheap to seek to (0 and
-// indexed block boundaries). Consecutive points delimit the contiguous
-// ranges a partitioned sweep fans out; fewer points come back when the
-// trace has fewer indexed blocks than requested ranges.
-func (t *IndexedTrace) SplitPoints(k int) []uint64 {
-	if k < 1 {
-		k = 1
-	}
-	total := t.idx.TotalRefs
-	points := []uint64{0}
-	for i := 1; i < k; i++ {
-		target := total * uint64(i) / uint64(k)
-		j := t.idx.FindRef(target)
-		if j < 0 {
-			continue
-		}
-		if p := t.idx.Entries[j].StartRef; p > points[len(points)-1] {
-			points = append(points, p)
-		}
-	}
-	if total > points[len(points)-1] {
-		points = append(points, total)
-	}
-	return points
-}
-
-// OpenRange returns a decoder positioned exactly at startRef that yields
-// exactly n references and then reports a clean end of trace. The
+// SeekRef returns a decoder positioned exactly at ref, running to the end
+// of the trace: it restores the predictor snapshot of the last indexed
+// block at or before ref and discards the references in between. The
 // returned source owns its reader; callers Close it when done.
-func (t *IndexedTrace) OpenRange(startRef, n uint64) (*PackedSource, error) {
-	if startRef+n > t.idx.TotalRefs {
-		return nil, simerr.CorruptTrace("dtrace: seek", int64(startRef),
-			fmt.Errorf("range [%d, %d) beyond %d total refs", startRef, startRef+n, t.idx.TotalRefs))
+func (t *IndexedTrace) SeekRef(ref uint64) (*PackedSource, error) {
+	total := t.idx.TotalRefs
+	if ref > total {
+		return nil, simerr.CorruptTrace("dtrace: seek", int64(ref),
+			fmt.Errorf("ref %d beyond %d total refs", ref, total))
 	}
-	if n == 0 {
-		return &PackedSource{done: true, refs: startRef}, nil
+	if ref == total {
+		return &PackedSource{done: true, refs: ref}, nil
 	}
-	j := t.idx.FindRef(startRef)
+	j := t.idx.FindRef(ref)
 	if j < 0 {
-		return nil, simerr.CorruptTrace("dtrace: seek", int64(startRef), fmt.Errorf("index has no entries"))
+		return nil, simerr.CorruptTrace("dtrace: seek", int64(ref), fmt.Errorf("index has no entries"))
 	}
 	e := t.idx.Entries[j]
 	rs, closer, err := t.open()
@@ -362,18 +337,12 @@ func (t *IndexedTrace) OpenRange(startRef, n uint64) (*PackedSource, error) {
 		}
 		return nil, err
 	}
-	src := newPackedSourceAt(rs, e, startRef+n, closer)
-	if err := src.discard(startRef - e.StartRef); err != nil {
+	src := newPackedSourceAt(rs, e, total, closer)
+	if err := src.discard(ref - e.StartRef); err != nil {
 		src.Close()
 		return nil, err
 	}
 	return src, nil
-}
-
-// SeekRef returns a decoder positioned exactly at ref, running to the end
-// of the trace.
-func (t *IndexedTrace) SeekRef(ref uint64) (*PackedSource, error) {
-	return t.OpenRange(ref, t.idx.TotalRefs-ref)
 }
 
 // SeekTick returns a decoder positioned at the last indexed block
@@ -382,12 +351,9 @@ func (t *IndexedTrace) SeekRef(ref uint64) (*PackedSource, error) {
 // before the requested tick, never after it (except when even the first
 // block starts later, in which case decoding starts at the trace head).
 func (t *IndexedTrace) SeekTick(tick uint64) (src *PackedSource, startRef, startTick uint64, err error) {
-	j := t.idx.FindTick(tick)
-	if j < 0 {
-		s, err := t.OpenRange(0, 0)
-		return s, 0, 0, err
+	if j := t.idx.FindTick(tick); j >= 0 {
+		startRef, startTick = t.idx.Entries[j].StartRef, t.idx.Entries[j].StartTick
 	}
-	e := t.idx.Entries[j]
-	s, err := t.OpenRange(e.StartRef, t.idx.TotalRefs-e.StartRef)
-	return s, e.StartRef, e.StartTick, err
+	src, err = t.SeekRef(startRef)
+	return src, startRef, startTick, err
 }

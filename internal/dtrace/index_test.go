@@ -6,8 +6,13 @@ package dtrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"palmsim/internal/simerr"
 )
 
 // packIndexed packs with synthetic tick marks (one every tickEvery refs)
@@ -192,38 +197,132 @@ func TestSeekRefBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenRangePartitionsConcatenate: SplitPoints ranges tile the trace
-// and decode, concatenated, to exactly the serial stream.
-func TestOpenRangePartitionsConcatenate(t *testing.T) {
-	addrs, kinds := packedTestTrace(5*blockRefs+123, 19)
-	data := packIndexed(t, addrs, kinds, 0)
-	it, err := OpenIndexedBytes(data)
+// TestOpenIndexedTraceFile: the file-backed open path must seek an
+// indexed trace bit-identically through its own file handles, and report
+// ErrNoIndex — not corruption — for an index-less file.
+func TestOpenIndexedTraceFile(t *testing.T) {
+	addrs, kinds := packedTestTrace(3*blockRefs+500, 31)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "session.ptrace")
+	if err := os.WriteFile(path, packIndexed(t, addrs, kinds, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	it, err := OpenIndexedTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 2, 4, 8, 100} {
-		points := it.SplitPoints(k)
-		if points[0] != 0 || points[len(points)-1] != it.TotalRefs() {
-			t.Fatalf("k=%d: split points %v do not span the trace", k, points)
+	if it.TotalRefs() != uint64(len(addrs)) {
+		t.Fatalf("TotalRefs = %d, want %d", it.TotalRefs(), len(addrs))
+	}
+	for _, ref := range []uint64{0, blockRefs + 3, uint64(len(addrs))} {
+		src, err := it.SeekRef(ref)
+		if err != nil {
+			t.Fatalf("SeekRef(%d): %v", ref, err)
 		}
-		var got []uint32
-		for i := 0; i+1 < len(points); i++ {
-			if points[i+1] <= points[i] {
-				t.Fatalf("k=%d: split points not ascending: %v", k, points)
-			}
-			src, err := it.OpenRange(points[i], points[i+1]-points[i])
-			if err != nil {
-				t.Fatalf("k=%d OpenRange(%d, %d): %v", k, points[i], points[i+1]-points[i], err)
-			}
-			got = append(got, drainRange(t, src)...)
+		got := drainRange(t, src)
+		want := addrs[ref:]
+		if len(got) != len(want) {
+			t.Fatalf("SeekRef(%d): %d refs, want %d", ref, len(got), len(want))
 		}
-		if len(got) != len(addrs) {
-			t.Fatalf("k=%d: ranges decoded %d refs, want %d", k, len(got), len(addrs))
-		}
-		for i := range addrs {
-			if got[i] != addrs[i] {
-				t.Fatalf("k=%d: ref %d = %#x, want %#x", k, i, got[i], addrs[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("SeekRef(%d): ref %d = %#x, want %#x", ref, ref+uint64(i), got[i], want[i])
 			}
+		}
+	}
+
+	plain, err := PackTrace(addrs, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainPath := filepath.Join(dir, "plain.ptrace")
+	if err := os.WriteFile(plainPath, plain, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenIndexedTrace(plainPath); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("index-less file: %v, want ErrNoIndex", err)
+	}
+	if _, err := OpenIndexedTrace(filepath.Join(dir, "missing.ptrace")); err == nil {
+		t.Fatal("OpenIndexedTrace on a missing file succeeded")
+	}
+	// Every seek opens its own handle, so a file removed after the index
+	// was read fails the seek rather than decoding stale state.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := it.SeekRef(1); err == nil {
+		t.Fatal("SeekRef succeeded on a removed file")
+	}
+}
+
+// TestSeekRefCarriesKinds: a seeked decoder resumes the kind stream as
+// well as the addresses, and Refs reports absolute trace ordinals.
+func TestSeekRefCarriesKinds(t *testing.T) {
+	addrs, kinds := packedTestTrace(2*blockRefs+300, 37)
+	it, err := OpenIndexedBytes(packIndexed(t, addrs, kinds, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := uint64(blockRefs + 11)
+	src, err := it.SeekRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if src.Refs() != ref {
+		t.Fatalf("Refs after SeekRef(%d) = %d", ref, src.Refs())
+	}
+	buf, kbuf := make([]uint32, 777), make([]uint8, 777)
+	i := ref
+	for {
+		n, err := src.NextChunkKinded(buf, kbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		for j := 0; j < n; j++ {
+			if buf[j] != addrs[i] || kbuf[j] != kinds[i] {
+				t.Fatalf("ref %d = (%#x, %d), want (%#x, %d)", i, buf[j], kbuf[j], addrs[i], kinds[i])
+			}
+			i++
+		}
+	}
+	if i != uint64(len(addrs)) || src.Refs() != i {
+		t.Fatalf("decoded to ref %d (Refs %d), want %d", i, src.Refs(), len(addrs))
+	}
+}
+
+// TestOpenIndexedRejectsDamagedTail: the tail probe reports a missing
+// footer as ErrNoIndex and every damaged one as ErrCorruptTrace.
+func TestOpenIndexedRejectsDamagedTail(t *testing.T) {
+	addrs, kinds := packedTestTrace(blockRefs+100, 41)
+	good := packIndexed(t, addrs, kinds, 0)
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	footOff := binary.LittleEndian.Uint64(good[len(good)-16:])
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"shorter than the magic", []byte("PALM"), simerr.ErrCorruptTrace},
+		{"not a packed trace", edit(func(b []byte) { b[0] = 'X' }), simerr.ErrCorruptTrace},
+		{"footer offset beyond the file", edit(func(b []byte) {
+			binary.LittleEndian.PutUint64(b[len(b)-16:], uint64(len(b)))
+		}), simerr.ErrCorruptTrace},
+		{"footer offset off the footer magic", edit(func(b []byte) {
+			binary.LittleEndian.PutUint64(b[len(b)-16:], footOff+1)
+		}), simerr.ErrCorruptTrace},
+		{"entry bytes flipped", edit(func(b []byte) { b[footOff+20] ^= 0xFF }), simerr.ErrCorruptTrace},
+		{"trailing magic cut", good[:len(good)-1], ErrNoIndex},
+	} {
+		if _, err := OpenIndexedBytes(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

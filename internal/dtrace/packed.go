@@ -225,16 +225,6 @@ func (p *PackedWriter) flushBlock() error {
 	return nil
 }
 
-// WriteAddrs appends a run of references with kind 0.
-func (p *PackedWriter) WriteAddrs(addrs []uint32) error {
-	for _, a := range addrs {
-		if err := p.WriteRef(a, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Refs returns how many references have been written.
 func (p *PackedWriter) Refs() uint64 { return p.refs }
 

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"palmsim/internal/dtrace"
 	"palmsim/internal/m68k"
+	"palmsim/internal/simerr"
 )
 
 func testTrace(n int) []uint32 {
@@ -174,6 +176,41 @@ func TestDineroSourceRejectsGarbage(t *testing.T) {
 		ds := NewDineroSource(strings.NewReader(bad))
 		if _, err := ds.NextChunk(make([]uint32, 4)); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestOpenTraceSourceRejectsTrailingGarbage: junk after the packed
+// end-of-trace marker must fail as corruption during streaming, not
+// decode to a clean EOF — the index footer makes trailing bytes
+// legitimate, so anything else there is damage.
+func TestOpenTraceSourceRejectsTrailingGarbage(t *testing.T) {
+	packed, err := dtrace.PackTrace(testTrace(10_000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append(append([]byte(nil), packed...), []byte("leftover junk")...)
+	src, format, err := OpenTraceSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("OpenTraceSource: %v", err)
+	}
+	if format != "packed" {
+		t.Fatalf("format = %q, want packed", format)
+	}
+	buf := make([]uint32, 4096)
+	for {
+		n, err := src.NextChunk(buf)
+		if err != nil {
+			if !errors.Is(err, simerr.ErrCorruptTrace) {
+				t.Fatalf("error %v is not ErrCorruptTrace", err)
+			}
+			if !strings.Contains(err.Error(), "index footer") {
+				t.Fatalf("error %q does not identify the trailing bytes", err)
+			}
+			return
+		}
+		if n == 0 {
+			t.Fatal("trailing garbage decoded to clean EOF")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package hotsync
 
 import (
+	"bytes"
 	"testing"
 
 	"palmsim/internal/emu"
@@ -114,4 +115,40 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := Unmarshal(blob[:len(blob)-4]); err == nil {
 		t.Error("truncated blob accepted")
 	}
+}
+
+// FuzzUnmarshalState: device states are read from external files, so
+// decoding must never panic, and any input that decodes must re-marshal
+// to bytes that decode again — and from then on marshal identically.
+func FuzzUnmarshalState(f *testing.F) {
+	st := &State{
+		RTCBase: 777,
+		Databases: []*pdb.Database{
+			{Name: "A", Type: pdb.FourCC("data"), Records: []pdb.Record{{Data: []byte("one")}}},
+			{Name: "B", CreationDate: 42},
+		},
+	}
+	f.Add(st.Marshal())
+	f.Add((&State{}).Marshal())
+	blob := st.Marshal()
+	f.Add(blob[:len(blob)-4])
+	f.Add([]byte("PALMSTAT"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		out := st.Marshal()
+		again, err := Unmarshal(out)
+		if err != nil {
+			t.Fatalf("re-marshalled state does not decode: %v", err)
+		}
+		if again.RTCBase != st.RTCBase || len(again.Databases) != len(st.Databases) {
+			t.Fatalf("re-decoded RTC %d with %d databases, want %d with %d",
+				again.RTCBase, len(again.Databases), st.RTCBase, len(st.Databases))
+		}
+		if !bytes.Equal(again.Marshal(), out) {
+			t.Fatal("marshal is not a fixed point after one round trip")
+		}
+	})
 }

@@ -193,7 +193,7 @@ type ReplayOptions struct {
 	// CollectTicks additionally records sparse tick marks — the ordinal
 	// of the first trace reference at each emulated tick — into
 	// Playback.TraceTicks. dtrace.PackTraceIndexed folds them into the
-	// PALMIDX1 index so sweeps can SeekTick. Off (the default) adds no
+	// PALMIDX1 index so readers can SeekTick. Off (the default) adds no
 	// work to the trace sink.
 	CollectTicks bool
 

@@ -19,7 +19,6 @@ func TestSentinelMatching(t *testing.T) {
 		{CorruptTrace("dtrace: unpack", 100, errors.New("bad byte")), ErrCorruptTrace},
 		{New(ErrDivergence, "crossvalidate", nil), ErrDivergence},
 		{New(ErrBadCheckpoint, "sweep: resume", nil), ErrBadCheckpoint},
-		{UnsupportedPlan("sweep: partitioned", "1KB/16B/1-way/OPT", nil), ErrUnsupportedPlan},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, tc.want) {
@@ -67,17 +66,6 @@ func TestErrorsAsRecoversPosition(t *testing.T) {
 	}
 }
 
-func TestErrorsAsRecoversConfig(t *testing.T) {
-	err := fmt.Errorf("cachesweep: %w", UnsupportedPlan("sweep: partitioned", "64KB/32B/8-way/OPT", nil))
-	var se *Error
-	if !errors.As(err, &se) {
-		t.Fatalf("errors.As failed on %v", err)
-	}
-	if se.Config != "64KB/32B/8-way/OPT" {
-		t.Errorf("Config = %q, want the offending configuration", se.Config)
-	}
-}
-
 func TestErrorString(t *testing.T) {
 	cases := []struct {
 		err  *Error
@@ -87,8 +75,6 @@ func TestErrorString(t *testing.T) {
 		{CanceledChunk(nil, "sweep: produce", 3), []string{"at chunk 3"}},
 		{CorruptTrace("dtrace", 88, errors.New("boom")), []string{"corrupt trace", "at ref 88", "boom"}},
 		{New(ErrMissingSymbol, "asm", nil), []string{"asm: missing symbol"}},
-		{UnsupportedPlan("sweep: partitioned", "1KB/16B/1-way/OPT", errors.New("OPT buffers the trace")),
-			[]string{"unsupported plan", "[1KB/16B/1-way/OPT]", "OPT buffers the trace"}},
 	}
 	for _, tc := range cases {
 		got := tc.err.Error()

@@ -21,12 +21,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 
 	"palmsim/internal/cache"
 	"palmsim/internal/cache/hier"
 	"palmsim/internal/cache/opt"
-	"palmsim/internal/simerr"
 )
 
 // hierarchiesNeedKinds reports whether any level of any hierarchy has a
@@ -364,31 +362,6 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 // with per-reference access kinds.
 func RunTraceHierarchies(ctx context.Context, hs []cache.Hierarchy, trace []uint32, kinds []uint8, opts Options) ([]cache.HierarchyResult, error) {
 	return RunHierarchies(ctx, hs, NewKindedSliceSource(trace, kinds), opts)
-}
-
-// RunPartitionedHierarchies sweeps hierarchies over an indexed trace
-// with partitioned decoding, mirroring RunPartitioned. OPT levels are
-// rejected up front: OPT buffers the whole trace for its backward
-// next-use pass, which defeats the point of partitioned decoding.
-func RunPartitionedHierarchies(ctx context.Context, hs []cache.Hierarchy, t SeekableTrace, opts Options) ([]cache.HierarchyResult, error) {
-	for _, h := range hs {
-		for _, cfg := range h.Levels {
-			if cfg.Policy == cache.OPT {
-				return nil, simerr.UnsupportedPlan("sweep: partitioned", h.String(),
-					fmt.Errorf("OPT buffers the whole trace for its backward next-use pass; run it unpartitioned"))
-			}
-		}
-	}
-	k := opts.Partitions
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	src, err := NewPartitionedSource(t, k, opts.chunkRefs())
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return RunHierarchies(ctx, hs, src, opts)
 }
 
 // DescribeHierarchies renders the hierarchy plan for logs and CLIs.

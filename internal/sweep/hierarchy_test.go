@@ -312,31 +312,6 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestPartitionedHierarchySweep drives an address-only hierarchy grid
-// through partitioned decoding and holds it to the slice-source run.
-func TestPartitionedHierarchySweep(t *testing.T) {
-	trace, data := packFixed(t, 100_000)
-	st := openSeekableBytes(t, data)
-	hs := hierGrid(cache.LRU, cache.WriteIgnore, cache.NonInclusive, []int{8, 32})
-
-	want := fusedOracle(t, hs, trace, nil)
-	for _, k := range []int{1, 4} {
-		got, err := RunPartitionedHierarchies(context.Background(), hs, st,
-			Options{Workers: 2, Partitions: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareHierResults(t, fmt.Sprintf("partitions=%d", k), hs, got, want)
-	}
-
-	// OPT at any level is rejected up front with the typed sentinel.
-	opt := []cache.Hierarchy{cache.Single(cache.Config{SizeBytes: 1 << 10, LineBytes: 16, Ways: 1, Policy: cache.OPT})}
-	_, err := RunPartitionedHierarchies(context.Background(), opt, st, Options{Partitions: 2})
-	if !errors.Is(err, simerr.ErrUnsupportedPlan) {
-		t.Errorf("partitioned OPT hierarchy: err = %v, want ErrUnsupportedPlan", err)
-	}
-}
-
 // TestHierarchySweepRejectsKindless mirrors the configuration sweep's
 // kind check: write-policy hierarchies over an address-only source fail
 // up front.

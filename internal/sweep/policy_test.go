@@ -7,7 +7,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -17,7 +16,6 @@ import (
 	"palmsim/internal/cache/opt"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/obs"
-	"palmsim/internal/simerr"
 )
 
 // kindedFixedTrace is a deterministic trace with access kinds: flash-side
@@ -200,59 +198,14 @@ func TestOptLowerBoundThroughSweep(t *testing.T) {
 	}
 }
 
-// TestPartitionedOptSweep: OPT configurations are structurally
-// incompatible with partitioned decoding — OPT materializes the whole
-// trace, which defeats the partitioned streaming decode — so
-// RunPartitioned rejects them up front with simerr.ErrUnsupportedPlan
-// naming the offending configuration. The remaining (non-OPT)
-// configurations still sweep partitioned and match the serial oracle.
-func TestPartitionedOptSweep(t *testing.T) {
-	trace, data := packFixed(t, 100_000)
-	st := openSeekableBytes(t, data)
-	var optCfgs, lruCfgs []cache.Config
-	for _, g := range diffGeometries() {
-		o := g
-		o.Policy = cache.OPT
-		optCfgs = append(optCfgs, o)
-		lruCfgs = append(lruCfgs, g)
-	}
-
-	_, err := RunPartitioned(context.Background(), append(append([]cache.Config{}, optCfgs...), lruCfgs...), st,
-		Options{Workers: 2, Partitions: 4})
-	if !errors.Is(err, simerr.ErrUnsupportedPlan) {
-		t.Fatalf("partitioned OPT sweep: err = %v, want ErrUnsupportedPlan", err)
-	}
-	var se *simerr.Error
-	if !errors.As(err, &se) || se.Config == "" {
-		t.Errorf("error does not carry the offending config: %v", err)
-	} else if !strings.Contains(se.Config, "OPT") {
-		t.Errorf("carried config %q does not name the OPT entry", se.Config)
-	}
-
-	// The rejection happens before any range decoder opens, so the same
-	// seekable trace still serves the remaining configurations.
-	want := directKindedOracle(t, lruCfgs, trace, nil)
-	for _, k := range []int{1, 4} {
-		got, err := RunPartitioned(context.Background(), lruCfgs, st,
-			Options{Workers: 2, Partitions: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, fmt.Sprintf("partitions=%d", k), lruCfgs, got, want)
-	}
-}
-
-// TestKindedPartitionedSweepRejected: the partitioned source is
-// address-only, so a write-policy sweep over it must fail up front with
-// an error naming the missing kinds — not silently treat every
-// reference as a read.
-func TestKindedPartitionedSweepRejected(t *testing.T) {
-	_, data := packFixed(t, 4096)
-	st := openSeekableBytes(t, data)
+// TestKindedSweepRejectsAddressOnlySource: a write-policy sweep over a
+// source without access kinds must fail up front with an error naming
+// the missing kinds — not silently treat every reference as a read.
+func TestKindedSweepRejectsAddressOnlySource(t *testing.T) {
 	cfgs := []cache.Config{{SizeBytes: 4096, LineBytes: 16, Ways: 2, Write: cache.WriteBack}}
-	_, err := RunPartitioned(context.Background(), cfgs, st, Options{Workers: 1})
+	_, err := Run(context.Background(), cfgs, NewSliceSource(fixedTrace(4096)), Options{Workers: 1})
 	if err == nil {
-		t.Fatal("kinded partitioned sweep accepted an address-only source")
+		t.Fatal("kinded sweep accepted an address-only source")
 	}
 	if !strings.Contains(err.Error(), "no access kinds") {
 		t.Errorf("error does not name the missing kinds: %v", err)

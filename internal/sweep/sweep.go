@@ -16,8 +16,8 @@
 // OPT (Belady) configurations are served by internal/cache/opt under
 // either engine: Run materializes the trace, computes the per-line-size
 // next-use annotation, and then streams the buffered trace through the
-// normal fan-out, so checkpointing, partitioning, and cancellation all
-// compose with OPT unchanged. Every unit still observes the full trace
+// normal fan-out, so checkpointing and cancellation both compose with
+// OPT unchanged. Every unit still observes the full trace
 // in order, so both engines produce results bit-identical to the serial
 // cache.Sweep loop for any worker count — determinism is an invariant
 // here, not a best effort.
@@ -183,10 +183,6 @@ type Options struct {
 	// Engine selects the simulation algorithm; the zero value
 	// (EngineAuto) selects the single-pass stack engine.
 	Engine Engine
-	// Partitions is the number of concurrent range decoders
-	// RunPartitioned opens over an indexed trace; zero or negative
-	// selects GOMAXPROCS. Ignored by Run, whose source is already built.
-	Partitions int
 	// Obs, when non-nil, receives sweep progress counters (chunks, refs,
 	// per-worker completions, queue depth) and post-run cache aggregates.
 	// Nil (the default) adds no allocations and no atomic traffic.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"palmsim"
+	"palmsim/internal/dtrace"
 )
 
 // TestReplaySeekTickIsSuffix: a fast-forwarded replay (-seek-tick) must
@@ -54,4 +55,52 @@ func TestReplaySeekTickIsSuffix(t *testing.T) {
 	}
 	t.Logf("full trace %d refs; seek to tick %d traced %d refs (skipped %d)",
 		len(full.Trace), mid.Tick, len(seek.Trace), len(full.Trace)-len(seek.Trace))
+}
+
+// TestIndexedSessionTraceRoundTrip: the session trace's indexed packing
+// must seek bit-identically from arbitrary ordinals — the golden
+// round-trip on real (not synthetic) data.
+func TestIndexedSessionTraceRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects and replays a session")
+	}
+	_, trace := benchSetup(t)
+	packed, err := dtrace.PackTraceIndexed(trace, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := dtrace.OpenIndexedBytes(packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.TotalRefs() != uint64(len(trace)) {
+		t.Fatalf("index claims %d refs, trace holds %d", it.TotalRefs(), len(trace))
+	}
+	for _, ref := range []uint64{0, 1, 4096, uint64(len(trace)) / 3, uint64(len(trace)) - 1} {
+		src, err := it.SeekRef(ref)
+		if err != nil {
+			t.Fatalf("SeekRef(%d): %v", ref, err)
+		}
+		buf := make([]uint32, 64<<10)
+		i := ref
+		for {
+			n, err := src.NextChunk(buf)
+			if err != nil {
+				t.Fatalf("SeekRef(%d): %v", ref, err)
+			}
+			if n == 0 {
+				break
+			}
+			for _, a := range buf[:n] {
+				if a != trace[i] {
+					t.Fatalf("SeekRef(%d): ref %d = %#x, want %#x", ref, i, a, trace[i])
+				}
+				i++
+			}
+		}
+		src.Close()
+		if i != uint64(len(trace)) {
+			t.Fatalf("SeekRef(%d): decoded to ref %d, want %d", ref, i, len(trace))
+		}
+	}
 }
