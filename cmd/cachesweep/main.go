@@ -52,6 +52,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -243,25 +244,25 @@ func sweepMain(ctx context.Context, c *config) error {
 			if err != nil {
 				return nil, err
 			}
-			return attachSourceObs(exp.NewDineroSource(f), reg), nil
+			return ownFile(attachSourceObs(exp.NewDineroSource(f), reg), f), nil
 		}
 		fmt.Printf("streaming din references from %s\n", c.dinFile)
 	case c.traceFile != "":
-		newSource = func() (sweep.Source, error) {
-			src, err := openTraceFile(c.traceFile, c.traceFormat)
-			if err != nil {
-				return nil, err
-			}
-			return attachSourceObs(src, reg), nil
-		}
+		newSource = func() (sweep.Source, error) { return openTraceFile(c.traceFile, c.traceFormat, reg) }
 		src, err := newSource()
 		if err != nil {
 			return err
 		}
-		if ts, ok := src.(*exp.TraceSource); ok {
-			fmt.Printf("streaming %d raw references from %s\n", ts.Refs(), c.traceFile)
+		// Raw traces carry no kinds, so only a plain fileSource can hold one.
+		if fs, ok := src.(fileSource); ok {
+			if ts, ok := fs.Source.(*exp.TraceSource); ok {
+				fmt.Printf("streaming %d raw references from %s\n", ts.Refs(), c.traceFile)
+			}
 		} else {
 			fmt.Printf("streaming packed references from %s\n", c.traceFile)
+		}
+		if err := src.(io.Closer).Close(); err != nil {
+			return err
 		}
 	case c.desktop:
 		cfg := dtrace.DefaultConfig()
@@ -270,7 +271,10 @@ func sweepMain(ctx context.Context, c *config) error {
 		}
 		newSource = func() (sweep.Source, error) { return dtrace.NewStream(cfg), nil }
 		fmt.Printf("streaming %d synthetic desktop references\n", cfg.Refs)
-	case c.sessionNum >= 1 && c.sessionNum <= 4:
+	case c.sessionNum != 0:
+		if c.sessionNum < 1 || c.sessionNum > 4 {
+			return usageError{fmt.Errorf("-session %d is out of range: the built-in sessions are 1-4", c.sessionNum)}
+		}
 		s := user.PaperSessions()[c.sessionNum-1]
 		fmt.Printf("collecting and replaying %s...\n", s.Name)
 		run, err := exp.RunSession(ctx, s)
@@ -578,21 +582,58 @@ func attachSourceObs(src sweep.Source, reg *obs.Registry) sweep.Source {
 }
 
 // openTraceFile opens a trace file in the requested (or sniffed) format.
-func openTraceFile(path, format string) (sweep.Source, error) {
+// The returned source owns the file: its Close closes it.
+func openTraceFile(path, format string, reg *obs.Registry) (sweep.Source, error) {
+	format = strings.ToLower(format)
+	if format != "auto" && format != "raw" && format != "packed" {
+		return nil, usageError{fmt.Errorf("unknown trace format %q (want auto, raw or packed)", format)}
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	switch strings.ToLower(format) {
+	var src sweep.Source
+	switch format {
 	case "auto":
-		src, _, err := exp.OpenTraceSource(f)
-		return src, err
+		src, _, err = exp.OpenTraceSource(f)
 	case "raw":
-		return exp.NewTraceSource(f)
-	case "packed":
-		return exp.NewPackedSource(f)
+		src, err = exp.NewTraceSource(f)
+	default:
+		src, err = exp.NewPackedSource(f)
 	}
-	return nil, usageError{fmt.Errorf("unknown trace format %q (want auto, raw or packed)", format)}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return ownFile(attachSourceObs(src, reg), f), nil
+}
+
+// fileSource is a trace source reading a file it owns; Close closes the
+// file. kindedFileSource keeps the decoder's kinded face, so the sweep
+// still sees whether the trace carries access kinds.
+type fileSource struct {
+	sweep.Source
+	f *os.File
+}
+
+func (s fileSource) Close() error { return s.f.Close() }
+
+type kindedFileSource struct {
+	fileSource
+	ks sweep.KindedSource
+}
+
+func (s kindedFileSource) NextChunkKinded(refs []uint32, kinds []uint8) (int, error) {
+	return s.ks.NextChunkKinded(refs, kinds)
+}
+
+// ownFile ties f's lifetime to src.
+func ownFile(src sweep.Source, f *os.File) sweep.Source {
+	fs := fileSource{Source: src, f: f}
+	if ks, ok := src.(sweep.KindedSource); ok {
+		return kindedFileSource{fileSource: fs, ks: ks}
+	}
+	return fs
 }
 
 // runOnce opens a fresh source, sweeps it, and closes the source when it

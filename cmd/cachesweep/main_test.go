@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -15,6 +16,7 @@ import (
 
 	"palmsim/internal/dtrace"
 	"palmsim/internal/exp"
+	"palmsim/internal/obs"
 )
 
 func TestMain(m *testing.M) {
@@ -361,5 +363,76 @@ func TestConflictingInputsExitUsage(t *testing.T) {
 	}
 	if !strings.Contains(out, "56-configuration sweep (LRU)") {
 		t.Errorf("single-input output missing results:\n%s", out)
+	}
+}
+
+// TestSessionOutOfRangeExitsUsage: a -session outside the built-in 1-4
+// is bad usage (exit 2) with a message naming the flag and its range,
+// not the "need one of" message for a missing input.
+func TestSessionOutOfRangeExitsUsage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess sweep in -short mode")
+	}
+	for _, args := range []string{"-session 7", "-session -1", "-session 5 -workers 1"} {
+		out, err := runCachesweep(t, args)
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s: want exit 2, got %v:\n%s", args, err, out)
+		}
+		if code := ee.ExitCode(); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2 (usage)", args, code)
+		}
+		if !strings.Contains(out, "-session") || !strings.Contains(out, "1-4") {
+			t.Errorf("%s: message does not name -session and its 1-4 range:\n%s", args, out)
+		}
+		if strings.Contains(out, "need one of") {
+			t.Errorf("%s: reported a missing input although -session was given:\n%s", args, out)
+		}
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// TestTraceFileSweepsCloseTheirFiles runs the sweep command in-process
+// twenty times over one packed trace file (plain and -crossvalidate)
+// and over a din file: every pass opens the file afresh, and the count
+// of open descriptors must not grow.
+func TestTraceFileSweepsCloseTheirFiles(t *testing.T) {
+	ptrace := writeIndexedPackedTrace(t)
+	din := writeTestDin(t)
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	defer func() { os.Stdout = stdout }()
+
+	for _, c := range []config{
+		{traceFile: ptrace, traceFormat: "auto"},
+		{traceFile: ptrace, traceFormat: "packed", crossValidate: true},
+		{dinFile: din},
+	} {
+		c.policy, c.algo, c.workers = "LRU", "auto", 2
+		c.obsFlags = &obs.Flags{}
+		before := openFDs(t)
+		for i := 0; i < 20; i++ {
+			if err := sweepMain(context.Background(), &c); err != nil {
+				t.Fatalf("pass %d over %s%s: %v", i, c.traceFile, c.dinFile, err)
+			}
+		}
+		if after := openFDs(t); after > before {
+			t.Errorf("%s%s (crossvalidate %v): %d open descriptors after 20 sweeps, %d before",
+				c.traceFile, c.dinFile, c.crossValidate, after, before)
+		}
 	}
 }

@@ -2,35 +2,13 @@
 // the LRU inclusion property, so no depth histogram can be shared
 // across associativities — but both are deterministic functions of the
 // reference stream, so one Family unit simulates every configuration of
-// a (policy, line size) group over a single pass in two stages:
-//
-//  1. A filter pass classifies each reference once (region, line,
-//     write), accumulates the counters that are identical across
-//     variants (accesses, RAM/flash refs, writes) at the family level,
-//     and drops references that are provably hits-with-no-state-change
-//     in every variant:
-//
-//     - a reference repeating the previous reference's line. Every
-//     variant is write-allocate, so after any reference to line L,
-//     L is resident in every variant; a FIFO hit changes no
-//     replacement state and a PLRU re-touch is idempotent.
-//     - an A-B-A alternation (the dominant fetch/data interleave
-//     pattern) when A and B map to different sets in EVERY variant,
-//     i.e. their line numbers differ inside the family's minimum
-//     set mask. B's activity then cannot evict A or touch A's PLRU
-//     tree, so the return to A is a hit with idempotent state
-//     everywhere. (Disabled while any variant tracks dirty bits:
-//     the marking below needs an exact per-variant probe trail.)
-//
-//     Surviving references are packed into a record buffer: line number
-//     plus flash/write flags. For write-back variants, shortcut writes
-//     emit a marker record so each variant can dirty the slot its last
-//     real probe landed on — the repeated line sits exactly there.
-//
-//  2. Each variant then consumes the whole record buffer sequentially,
-//     so its lines/rr/plru arrays stay hot in cache instead of being
-//     re-fetched per reference — the loop order that makes the family
-//     several times faster than per-configuration direct simulation.
+// a (policy, line size) group over a single pass in two stages: the
+// shared stage-1 filter (filter.go) drops the references that are
+// hits with no state change in every variant, then each variant
+// consumes the surviving records sequentially, so its lines/rr/plru
+// arrays stay hot in cache instead of being re-fetched per reference —
+// the loop order that makes the family several times faster than
+// per-configuration direct simulation.
 //
 // FIFO eviction is a per-set round-robin insertion pointer, bit-exact
 // with the direct simulator's first-invalid-then-oldest-rank rule:
@@ -41,18 +19,7 @@
 // so the two cannot drift.
 package stack
 
-import (
-	"palmsim/internal/bus"
-	"palmsim/internal/cache"
-)
-
-// Record layout for the stage-1 buffer: line number in the low 32 bits,
-// flags above.
-const (
-	recFlash uint64 = 1 << 32 // reference is ROM/flash-side
-	recWrite uint64 = 1 << 33 // reference is a write
-	recMRU   uint64 = 1 << 34 // shortcut write: dirty the last probed slot
-)
+import "palmsim/internal/cache"
 
 // familyVariant is one configuration's state within a Family.
 type familyVariant struct {
@@ -64,132 +31,38 @@ type familyVariant struct {
 	rr      []uint8  // FIFO: per-set round-robin insertion pointer
 	plru    []uint8  // PLRU: per-set tree bits
 	dirty   []bool   // WriteBack: per-line dirty bits
-	lastIdx int32    // lines index of the previous probe's landing spot
 	res     cache.Result
 }
 
 // Family simulates every FIFO or PLRU configuration of one line size in
-// lockstep.
+// lockstep behind one stage-1 filter.
 type Family struct {
+	filter
 	policy    cache.Policy
 	lineBytes int
-	lineShift uint
-	// last and last2 are the two most recent distinct line keys
-	// (line+1; 0 = none) feeding the stage-1 shortcuts.
-	last, last2 uint32
-	// minSetMask is the smallest variant set mask: two lines differing
-	// inside it map to different sets in every variant.
-	minSetMask uint32
-	// Family-level counters, identical for every variant: total
-	// references by region and total writes. Variants only count what
-	// differs between them — misses and writebacks.
-	totRAM, totFlash, totWrites uint64
-	buf                         []uint64 // stage-1 record buffer, reused across chunks
-	variants                    []*familyVariant
-	dirtyVariants               []*familyVariant // variants tracking dirty bits
+	variants  []*familyVariant
 }
-
-// Policy returns the replacement policy every member shares.
-func (f *Family) Policy() cache.Policy { return f.policy }
-
-// LineBytes returns the line size every member shares.
-func (f *Family) LineBytes() int { return f.lineBytes }
-
-// Configs returns the number of configurations the family serves.
-func (f *Family) Configs() int { return len(f.variants) }
 
 // AccessAll advances every variant over the chunk.
-func (f *Family) AccessAll(refs []uint32) {
-	buf := f.buf[:0]
-	alternate := len(f.dirtyVariants) == 0
-	for _, addr := range refs {
-		isFlash := addr-bus.ROMBase < bus.ROMSize
-		if isFlash {
-			f.totFlash++
-		} else {
-			f.totRAM++
-		}
-		line := addr >> f.lineShift
-		key := line + 1
-		if key == f.last {
-			continue
-		}
-		if key == f.last2 && alternate && (line^(f.last-1))&f.minSetMask != 0 {
-			f.last2, f.last = f.last, key
-			continue
-		}
-		f.last2, f.last = f.last, key
-		rec := uint64(line)
-		if isFlash {
-			rec |= recFlash
-		}
-		buf = append(buf, rec)
-	}
-	f.buf = buf
-	for _, v := range f.variants {
-		v.run(buf)
-	}
-}
+func (f *Family) AccessAll(refs []uint32) { f.feed(refs, nil, f.run) }
 
 // AccessAllKinded advances every variant over a kinded chunk.
-func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
-	buf := f.buf[:0]
-	hasDirty := len(f.dirtyVariants) > 0
-	for i, addr := range refs {
-		write := cache.IsWrite(kinds[i])
-		if write {
-			f.totWrites++
-		}
-		isFlash := addr-bus.ROMBase < bus.ROMSize
-		if isFlash {
-			f.totFlash++
-		} else {
-			f.totRAM++
-		}
-		line := addr >> f.lineShift
-		key := line + 1
-		if key == f.last {
-			if write && hasDirty {
-				// The repeated line sits exactly where each variant's
-				// previous probe left it — no access has intervened.
-				buf = append(buf, recMRU)
-			}
-			continue
-		}
-		if key == f.last2 && !hasDirty && (line^(f.last-1))&f.minSetMask != 0 {
-			f.last2, f.last = f.last, key
-			continue
-		}
-		f.last2, f.last = f.last, key
-		rec := uint64(line)
-		if isFlash {
-			rec |= recFlash
-		}
-		if write {
-			rec |= recWrite
-		}
-		buf = append(buf, rec)
-	}
-	f.buf = buf
+func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) { f.feed(refs, kinds, f.run) }
+
+func (f *Family) run(recs []uint64) {
 	for _, v := range f.variants {
-		v.run(buf)
+		v.run(recs)
 	}
 }
 
-// run replays the filtered record buffer through one variant. Only
-// misses and writebacks are counted here; everything identical across
-// variants was already accumulated by the filter pass.
-func (v *familyVariant) run(buf []uint64) {
+// run replays the filtered records through one variant. Only misses
+// and writebacks are counted here; everything identical across
+// variants was already accumulated by the filter.
+func (v *familyVariant) run(recs []uint64) {
 	lines := v.lines
 	mask := v.setMask
 	ways := v.ways
-	for _, rec := range buf {
-		if rec&recMRU != 0 {
-			if v.dirty != nil && v.lastIdx >= 0 {
-				v.dirty[v.lastIdx] = true
-			}
-			continue
-		}
+	for _, rec := range recs {
 		line := uint32(rec)
 		key := line + 1
 		si := int(line & mask)
@@ -198,7 +71,6 @@ func (v *familyVariant) run(buf []uint64) {
 		hit := false
 		for w := range set {
 			if set[w] == key {
-				v.lastIdx = int32(base + w)
 				if v.plru != nil {
 					v.plru[si] = cache.PLRUTouch(v.plru[si], ways, w)
 				}
@@ -243,7 +115,6 @@ func (v *familyVariant) run(buf []uint64) {
 			v.dirty[base+vic] = rec&recWrite != 0
 		}
 		set[vic] = key
-		v.lastIdx = int32(base + vic)
 		if v.plru != nil {
 			v.plru[si] = cache.PLRUTouch(v.plru[si], ways, vic)
 		}
@@ -253,13 +124,9 @@ func (v *familyVariant) run(buf []uint64) {
 // results composes each variant's miss counters with the family-level
 // totals and fills the output slots.
 func (f *Family) results(out []cache.Result) {
-	total := f.totRAM + f.totFlash
 	for _, v := range f.variants {
 		res := v.res
-		res.Accesses = total
-		res.RAMRefs = f.totRAM
-		res.FlashRefs = f.totFlash
-		res.Writes = f.totWrites
+		f.fill(&res)
 		out[v.index] = res
 	}
 }
@@ -273,7 +140,6 @@ func newFamilyVariant(index int, cfg cache.Config) *familyVariant {
 		setMask: uint32(sets - 1),
 		ways:    cfg.Ways,
 		lines:   make([]uint32, sets*cfg.Ways),
-		lastIdx: -1,
 	}
 	switch cfg.Policy {
 	case cache.FIFO:

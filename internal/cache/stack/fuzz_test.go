@@ -29,10 +29,22 @@ func fuzzTrace(data []byte) []uint32 {
 	return trace
 }
 
+// fuzzKinds derives one access kind per fuzzTrace reference from the
+// region byte's spare bits, so the same input also drives write-back.
+func fuzzKinds(data []byte) []uint8 {
+	kinds := make([]uint8, 0, len(data)/3)
+	for i := 0; i+2 < len(data); i += 3 {
+		kinds = append(kinds, (data[i]>>3)%3)
+	}
+	return kinds
+}
+
 // FuzzStackVsDirect is the stack-engine counterpart of the m68k
-// differential fuzzers: any byte string becomes a trace, and the
-// single-pass engine must agree with per-config direct simulation on
-// every counter of every paper configuration.
+// differential fuzzers: any byte string becomes a trace, cut into
+// chunks of a size the input also picks, and the single-pass engine
+// must agree with per-config direct simulation on every counter of
+// every paper configuration — address-only, and kinded on the
+// write-back LRU grid, whose filter keeps every write.
 func FuzzStackVsDirect(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00, 0x10, 0x00, 0x00, 0x10, 0x40, 0x01, 0x00})
@@ -43,24 +55,35 @@ func FuzzStackVsDirect(f *testing.F) {
 	}
 	f.Add(seed)
 	cfgs := cache.PaperSweep()
+	wbCfgs := policySweep(cache.LRU, cache.WriteBack)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		trace := fuzzTrace(data)
+		trace, kinds := fuzzTrace(data), fuzzKinds(data)
+		chunk := len(trace)
+		if len(data) >= 2 {
+			chunk = 1 + (int(data[0])<<8|int(data[1]))%(batchRefs+2)
+		}
+		check := func(name string, cfgs []cache.Config, kinds []uint8, want []cache.Result) {
+			e, err := New(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedChunked(e, trace, kinds, max(chunk, 1))
+			got := e.Results()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: %v diverged over %d refs in chunks of %d:\n got %+v\nwant %+v",
+						name, cfgs[i], len(trace), chunk, got[i], want[i])
+				}
+			}
+		}
 		want, err := cache.Sweep(cfgs, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Sweep(cfgs, trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v diverged over %d refs:\n got %+v\nwant %+v",
-					cfgs[i], len(trace), got[i], want[i])
-			}
-		}
+		check("address-only", cfgs, nil, want)
+		check("kinded write-back", wbCfgs, kinds, directKindedSweep(t, wbCfgs, trace, kinds))
 	})
 }

@@ -15,9 +15,12 @@
 // needs (8 in the paper sweep), and records a histogram of observed
 // depths; the per-configuration miss count for (S, A) is then just the
 // suffix sum of the histogram from depth A — computed once at the end,
-// entirely off the per-reference path. The 56-configuration paper sweep
-// collapses to 20 refinements, each probing a <=8-entry list per
-// reference instead of driving 56 independent caches.
+// entirely off the per-reference path. All refinements of one line size
+// form a Group behind one stage-1 filter (filter.go), which drops the
+// references that sit at depth 0 in every refinement — about two thirds
+// of a session trace — so each refinement consumes only the residue.
+// The 56-configuration paper sweep runs as 2 line-size groups of 10
+// refinements each, so its LRU parallelism is one unit per line size.
 //
 // Exactness of the depth-histogram sharing holds only for LRU, whose
 // eviction order is a pure function of the reference stream and which
@@ -26,11 +29,11 @@
 // histogram across ways — but they are still deterministic functions of
 // the reference stream, so a single-pass "family" unit (family.go)
 // simulates every configuration of one (policy, line size) group in
-// lockstep, sharing the per-reference region/line work and an MRU
-// shortcut across the group. Random depends on each cache's private PRNG
-// state and falls back to direct per-config simulation (cache.Cache)
-// behind the same Unit interface; OPT needs future knowledge and is
-// served by the opt package via the sweep layer, never by this engine.
+// lockstep behind the same stage-1 filter. Random depends on each
+// cache's private PRNG state and falls back to direct per-config
+// simulation (cache.Cache) behind the same Unit interface; OPT needs
+// future knowledge and is served by the opt package via the sweep
+// layer, never by this engine.
 //
 // Write policies ride along without splitting any grouping: every
 // variant is write-allocate, so replacement state is kind-blind and the
@@ -45,18 +48,17 @@ package stack
 
 import (
 	"fmt"
-	"sort"
 
-	"palmsim/internal/bus"
 	"palmsim/internal/cache"
 )
 
-// Unit is one independently advanceable simulation shard: a refinement
-// or a direct-simulation fallback cache. Units are mutually independent,
-// so a sweep engine may drive them from different goroutines as long as
-// each unit observes the full trace in order.
+// Unit is one independently advanceable simulation shard: a line-size
+// group, a family or a direct-simulation fallback cache. Units are
+// mutually independent, so a sweep engine may drive them from different
+// goroutines as long as each unit observes the full trace in order.
 type Unit interface {
 	AccessAll(refs []uint32)
+	AccessAllKinded(refs []uint32, kinds []uint8)
 }
 
 // refCfg ties a configuration served by a refinement back to its index
@@ -66,10 +68,36 @@ type refCfg struct {
 	cfg   cache.Config
 }
 
+// Group serves every LRU refinement of one line size behind one
+// stage-1 filter (filter.go): a dropped reference sits at recency depth
+// 0 in every refinement, so it is a hit everywhere and reorders
+// nothing, and the group counts it once. Each refinement consumes only
+// the surviving records.
+type Group struct {
+	filter
+	lineBytes   int
+	refinements []*Refinement
+}
+
+// AccessAll advances every refinement over one chunk of references.
+func (g *Group) AccessAll(refs []uint32) { g.feed(refs, nil, g.run) }
+
+// AccessAllKinded advances every refinement over one kinded chunk.
+// Replacement is write-allocate and kind-blind; kinds only add the
+// write count and, for write-back refinements, the wmax bookkeeping.
+func (g *Group) AccessAllKinded(refs []uint32, kinds []uint8) { g.feed(refs, kinds, g.run) }
+
+func (g *Group) run(recs []uint64) {
+	for _, r := range g.refinements {
+		r.run(recs)
+	}
+}
+
 // Refinement is the all-associativity state for one (line size, set
 // count) geometry: per-set recency lists truncated at the deepest
 // associativity any served configuration needs, plus depth histograms
-// split by memory region.
+// of the references its group's filter let through, split by memory
+// region.
 type Refinement struct {
 	lineBytes int
 	sets      int
@@ -77,12 +105,11 @@ type Refinement struct {
 	setMask   uint32
 	depth     int      // deepest Ways over cfgs; recency lists keep this many lines
 	lists     []uint32 // sets*depth entries: line number + 1, 0 = empty, MRU first
-	// histRAM[d] / histFlash[d] count references found at recency depth d;
-	// index depth counts references not found within the list at all
+	// histRAM[d] / histFlash[d] count records found at recency depth d;
+	// index depth counts records not found within the list at all
 	// (misses for every served configuration).
 	histRAM   []uint64
 	histFlash []uint64
-	writes    uint64 // write references seen (kinded entry point only)
 	// Write-back accounting, allocated only when a served configuration
 	// uses WriteBack. wmax parallels lists: per entry, the maximum
 	// recency depth reached since the line was last written (0xFF =
@@ -113,23 +140,29 @@ func (r *Refinement) Configs() []cache.Config {
 	return out
 }
 
-// AccessAll advances the refinement over one chunk of references.
-func (r *Refinement) AccessAll(refs []uint32) {
+// run advances the refinement over one batch of stage-1 records. When
+// a served configuration is write-back it maintains the per-entry wmax
+// dirty bound alongside every recency-list shift.
+func (r *Refinement) run(recs []uint64) {
 	depth := r.depth
-	for _, addr := range refs {
-		// Same unsigned-wrap region test as cache.Cache.Access.
+	track := r.wmax != nil
+	for _, rec := range recs {
 		hist := r.histRAM
-		if addr-bus.ROMBase < bus.ROMSize {
+		if rec&recFlash != 0 {
 			hist = r.histFlash
 		}
-		line := addr >> r.lineShift
+		line := uint32(rec)
 		key := line + 1
 		base := int(line&r.setMask) * depth
 		set := r.lists[base : base+depth]
+		write := rec&recWrite != 0
 		if set[0] == key {
 			// MRU re-reference: a hit in every served configuration and
-			// no reordering — the hot path on real traces.
+			// no reordering.
 			hist[0]++
+			if track && write {
+				r.wmax[base] = 0 // rewritten at the front: dirty everywhere
+			}
 			continue
 		}
 		// Walk for the line or the first empty slot (entries fill from
@@ -142,53 +175,6 @@ func (r *Refinement) AccessAll(refs []uint32) {
 		pos := p
 		if p == depth {
 			pos = depth - 1 // full set: the LRU tail line is evicted
-		} else if set[p] == key {
-			bucket = p
-		}
-		hist[bucket]++
-		for i := pos; i > 0; i-- {
-			set[i] = set[i-1]
-		}
-		set[0] = key
-	}
-}
-
-// AccessAllKinded advances the refinement over one kinded chunk,
-// counting write references and — when a served configuration is
-// write-back — maintaining the per-entry wmax dirty bound alongside
-// every recency-list shift. Replacement behaves exactly as AccessAll
-// (write-allocate), so the depth histograms are kind-blind.
-func (r *Refinement) AccessAllKinded(refs []uint32, kinds []uint8) {
-	depth := r.depth
-	track := r.wmax != nil
-	for i, addr := range refs {
-		write := cache.IsWrite(kinds[i])
-		if write {
-			r.writes++
-		}
-		hist := r.histRAM
-		if addr-bus.ROMBase < bus.ROMSize {
-			hist = r.histFlash
-		}
-		line := addr >> r.lineShift
-		key := line + 1
-		base := int(line&r.setMask) * depth
-		set := r.lists[base : base+depth]
-		if set[0] == key {
-			hist[0]++
-			if track && write {
-				r.wmax[base] = 0 // rewritten at the front: dirty everywhere
-			}
-			continue
-		}
-		p := 1
-		for p < depth && set[p] != key && set[p] != 0 {
-			p++
-		}
-		bucket := depth
-		pos := p
-		if p == depth {
-			pos = depth - 1
 		} else if set[p] == key {
 			bucket = p
 		}
@@ -234,23 +220,20 @@ func (r *Refinement) AccessAllKinded(refs []uint32, kinds []uint8) {
 	}
 }
 
-// results fills the served configurations' slots of out from the depth
-// histograms: a reference at depth d hits (S, A) iff d < A.
-func (r *Refinement) results(out []cache.Result) {
+// results fills the served configurations' slots of out: the access,
+// region and write counts are the group filter's, and a record at depth
+// d misses (S, A) iff d >= A — dropped references sit at depth 0 and
+// hit everywhere.
+func (r *Refinement) results(f *filter, out []cache.Result) {
 	for _, rc := range r.cfgs {
 		res := cache.Result{Config: rc.cfg}
-		for d := 0; d <= r.depth; d++ {
+		f.fill(&res)
+		for d := rc.cfg.Ways; d <= r.depth; d++ {
 			ram, flash := r.histRAM[d], r.histFlash[d]
-			res.Accesses += ram + flash
-			res.RAMRefs += ram
-			res.FlashRefs += flash
-			if d >= rc.cfg.Ways {
-				res.Misses += ram + flash
-				res.RAMMisses += ram
-				res.FlashMisses += flash
-			}
+			res.Misses += ram + flash
+			res.RAMMisses += ram
+			res.FlashMisses += flash
 		}
-		res.Writes = r.writes
 		if rc.cfg.Write == cache.WriteBack && r.wbHist != nil {
 			res.Writebacks = r.wbHist[rc.cfg.Ways]
 		}
@@ -264,24 +247,28 @@ type fallback struct {
 	c     *cache.Cache
 }
 
-// Engine partitions a configuration set into refinements (LRU),
-// single-pass families (FIFO, PLRU), and direct-simulation fallbacks
-// (Random) and assembles results in the original configuration order.
-// OPT configurations are rejected: they need whole-trace annotation,
-// which the sweep layer provides through the opt package.
+// Engine partitions a configuration set into line-size groups of
+// refinements (LRU), single-pass families (FIFO, PLRU), and
+// direct-simulation fallbacks (Random) and assembles results in the
+// original configuration order. OPT configurations are rejected: they
+// need whole-trace annotation, which the sweep layer provides through
+// the opt package.
 type Engine struct {
-	refinements []*Refinement
-	families    []*Family
-	fallbacks   []fallback
-	nconfigs    int
+	groups    []*Group
+	families  []*Family
+	fallbacks []fallback
+	nconfigs  int
 }
 
 // New validates the configurations and builds the refinement tree:
 // LRU configurations group by line size, then by set count, each
-// group's recency depth being its deepest associativity; FIFO and PLRU
-// configurations group into per-(policy, line size) families.
+// refinement's recency depth being its deepest associativity; FIFO and
+// PLRU configurations group into per-(policy, line size) families.
+// Groups, refinements and families keep the order in which the
+// configurations first name them.
 func New(cfgs []cache.Config) (*Engine, error) {
 	e := &Engine{nconfigs: len(cfgs)}
+	byLine := map[int]*Group{}
 	type geom struct{ line, sets int }
 	byGeom := map[geom]*Refinement{}
 	type famKey struct {
@@ -295,8 +282,14 @@ func New(cfgs []cache.Config) (*Engine, error) {
 		}
 		switch cfg.Policy {
 		case cache.LRU:
-			g := geom{line: cfg.LineBytes, sets: cfg.Sets()}
-			r := byGeom[g]
+			g := byLine[cfg.LineBytes]
+			if g == nil {
+				g = &Group{filter: newFilter(cfg), lineBytes: cfg.LineBytes}
+				byLine[cfg.LineBytes] = g
+				e.groups = append(e.groups, g)
+			}
+			k := geom{line: cfg.LineBytes, sets: cfg.Sets()}
+			r := byGeom[k]
 			if r == nil {
 				r = &Refinement{
 					lineBytes: cfg.LineBytes,
@@ -304,33 +297,30 @@ func New(cfgs []cache.Config) (*Engine, error) {
 					lineShift: cfg.IndexShift(),
 					setMask:   uint32(cfg.Sets() - 1),
 				}
-				byGeom[g] = r
-				e.refinements = append(e.refinements, r)
+				byGeom[k] = r
+				g.refinements = append(g.refinements, r)
+				g.minSetMask = min(g.minSetMask, r.setMask)
 			}
 			if cfg.Ways > r.depth {
 				r.depth = cfg.Ways
 			}
 			r.cfgs = append(r.cfgs, refCfg{index: i, cfg: cfg})
+			if cfg.Write == cache.WriteBack {
+				g.keepWrites = true
+			}
 		case cache.FIFO, cache.PLRU:
 			k := famKey{policy: cfg.Policy, line: cfg.LineBytes}
 			f := byFam[k]
 			if f == nil {
-				f = &Family{
-					policy:     cfg.Policy,
-					lineBytes:  cfg.LineBytes,
-					lineShift:  cfg.IndexShift(),
-					minSetMask: ^uint32(0),
-				}
+				f = &Family{filter: newFilter(cfg), policy: cfg.Policy, lineBytes: cfg.LineBytes}
 				byFam[k] = f
 				e.families = append(e.families, f)
 			}
 			v := newFamilyVariant(i, cfg)
-			if v.setMask < f.minSetMask {
-				f.minSetMask = v.setMask
-			}
+			f.minSetMask = min(f.minSetMask, v.setMask)
 			f.variants = append(f.variants, v)
 			if v.dirty != nil {
-				f.dirtyVariants = append(f.dirtyVariants, v)
+				f.keepWrites = true
 			}
 		case cache.OPT:
 			return nil, fmt.Errorf("stack: %v needs whole-trace annotation; the sweep layer serves OPT through the opt package", cfg)
@@ -342,33 +332,17 @@ func New(cfgs []cache.Config) (*Engine, error) {
 			e.fallbacks = append(e.fallbacks, fallback{index: i, c: c})
 		}
 	}
-	// Deterministic unit order regardless of map iteration.
-	sort.Slice(e.refinements, func(i, j int) bool {
-		a, b := e.refinements[i], e.refinements[j]
-		if a.lineBytes != b.lineBytes {
-			return a.lineBytes < b.lineBytes
-		}
-		return a.sets < b.sets
-	})
-	sort.Slice(e.families, func(i, j int) bool {
-		a, b := e.families[i], e.families[j]
-		if a.policy != b.policy {
-			return a.policy < b.policy
-		}
-		return a.lineBytes < b.lineBytes
-	})
-	for _, r := range e.refinements {
+	for _, r := range e.Refinements() {
 		r.lists = make([]uint32, r.sets*r.depth)
 		r.histRAM = make([]uint64, r.depth+1)
 		r.histFlash = make([]uint64, r.depth+1)
 		for _, rc := range r.cfgs {
-			if rc.cfg.Write == cache.WriteBack {
+			if rc.cfg.Write == cache.WriteBack && r.wmax == nil {
 				r.wmax = make([]uint8, r.sets*r.depth)
 				for j := range r.wmax {
 					r.wmax[j] = 0xFF
 				}
 				r.wbHist = make([]uint64, r.depth+1)
-				break
 			}
 		}
 	}
@@ -376,11 +350,12 @@ func New(cfgs []cache.Config) (*Engine, error) {
 }
 
 // Units returns the engine's independently advanceable shards:
-// refinements first, then families, then direct-simulation fallbacks.
+// line-size groups first, then families, then direct-simulation
+// fallbacks.
 func (e *Engine) Units() []Unit {
-	units := make([]Unit, 0, len(e.refinements)+len(e.families)+len(e.fallbacks))
-	for _, r := range e.refinements {
-		units = append(units, r)
+	units := make([]Unit, 0, len(e.groups)+len(e.families)+len(e.fallbacks))
+	for _, g := range e.groups {
+		units = append(units, g)
 	}
 	for _, f := range e.families {
 		units = append(units, f)
@@ -391,9 +366,15 @@ func (e *Engine) Units() []Unit {
 	return units
 }
 
-// Refinements exposes the refinement tree (for diagnostics and the
-// grouping-invariant tests).
-func (e *Engine) Refinements() []*Refinement { return e.refinements }
+// Refinements exposes every group's refinements in unit order (for
+// diagnostics and the grouping-invariant tests).
+func (e *Engine) Refinements() []*Refinement {
+	var out []*Refinement
+	for _, g := range e.groups {
+		out = append(out, g.refinements...)
+	}
+	return out
+}
 
 // Families exposes the FIFO/PLRU family units.
 func (e *Engine) Families() []*Family { return e.families }
@@ -416,8 +397,10 @@ func (e *Engine) FallbackConfigs() int { return len(e.fallbacks) }
 // configurations were passed to New.
 func (e *Engine) Results() []cache.Result {
 	out := make([]cache.Result, e.nconfigs)
-	for _, r := range e.refinements {
-		r.results(out)
+	for _, g := range e.groups {
+		for _, r := range g.refinements {
+			r.results(&g.filter, out)
+		}
 	}
 	for _, f := range e.families {
 		f.results(out)
@@ -450,14 +433,8 @@ func SweepKinded(cfgs []cache.Config, trace []uint32, kinds []uint8) ([]cache.Re
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range e.refinements {
-		r.AccessAllKinded(trace, kinds)
-	}
-	for _, f := range e.families {
-		f.AccessAllKinded(trace, kinds)
-	}
-	for _, f := range e.fallbacks {
-		f.c.AccessAllKinded(trace, kinds)
+	for _, u := range e.Units() {
+		u.AccessAllKinded(trace, kinds)
 	}
 	return e.Results(), nil
 }

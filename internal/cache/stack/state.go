@@ -1,11 +1,11 @@
-// Checkpoint serialization for the stack engine. A Refinement's mutable
-// state is its per-set recency lists, the two depth histograms, the
-// kinded write counter, and — when write-back accounting is on — the
-// wmax array and writeback histogram; a Family's is the shared MRU
-// shortcut state plus every variant's lines, replacement bookkeeping,
-// and dirty bits. All sizes are fixed functions of the configuration
-// set, which the sweep checkpointer fingerprints (including replacement
-// and write policies), so the blob layouts need no internal framing.
+// Checkpoint serialization for the stack engine. A unit's blob is its
+// stage-1 filter state (last-line keys, shared counters) followed by
+// each member's: a refinement's recency lists, depth histograms and any
+// wmax/writeback state; a family variant's miss counters, lines,
+// replacement bookkeeping and dirty bits. All sizes are fixed functions
+// of the configuration set, which the sweep checkpointer fingerprints,
+// so the layouts need no framing; a blob of any other length is
+// rejected.
 package stack
 
 import (
@@ -13,24 +13,43 @@ import (
 	"fmt"
 )
 
-// stateLen returns the exact encoded size for this refinement.
+// filterStateLen is the encoded size of a filter's state.
+const filterStateLen = 4 + 4 + 3*8
+
+func (f *filter) appendState(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, f.last)
+	b = binary.LittleEndian.AppendUint32(b, f.last2)
+	for _, x := range []uint64{f.totRAM, f.totFlash, f.totWrites} {
+		b = binary.LittleEndian.AppendUint64(b, x)
+	}
+	return b
+}
+
+func (f *filter) restoreState(b []byte) []byte {
+	f.last = binary.LittleEndian.Uint32(b)
+	f.last2 = binary.LittleEndian.Uint32(b[4:])
+	b = b[8:]
+	for _, p := range []*uint64{&f.totRAM, &f.totFlash, &f.totWrites} {
+		*p = binary.LittleEndian.Uint64(b)
+		b = b[8:]
+	}
+	return b
+}
+
 func (r *Refinement) stateLen() int {
-	return 4*len(r.lists) + 8*len(r.histRAM) + 8*len(r.histFlash) + 8 +
+	return 4*len(r.lists) + 8*len(r.histRAM) + 8*len(r.histFlash) +
 		len(r.wmax) + 8*len(r.wbHist)
 }
 
-// AppendState serializes the refinement's mutable state onto b.
-func (r *Refinement) AppendState(b []byte) []byte {
+func (r *Refinement) appendState(b []byte) []byte {
 	for _, v := range r.lists {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	for _, v := range r.histRAM {
-		b = binary.LittleEndian.AppendUint64(b, v)
+	for _, h := range [][]uint64{r.histRAM, r.histFlash} {
+		for _, v := range h {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
 	}
-	for _, v := range r.histFlash {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	b = binary.LittleEndian.AppendUint64(b, r.writes)
 	b = append(b, r.wmax...)
 	for _, v := range r.wbHist {
 		b = binary.LittleEndian.AppendUint64(b, v)
@@ -38,48 +57,61 @@ func (r *Refinement) AppendState(b []byte) []byte {
 	return b
 }
 
-// RestoreState loads state previously produced by AppendState for the
-// same geometry.
-func (r *Refinement) RestoreState(b []byte) error {
-	if len(b) != r.stateLen() {
-		return fmt.Errorf("stack: state blob is %d bytes, want %d for %dB/%d-set refinement",
-			len(b), r.stateLen(), r.lineBytes, r.sets)
-	}
+func (r *Refinement) restoreState(b []byte) []byte {
 	for i := range r.lists {
 		r.lists[i] = binary.LittleEndian.Uint32(b)
 		b = b[4:]
 	}
-	for i := range r.histRAM {
-		r.histRAM[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
+	for _, h := range [][]uint64{r.histRAM, r.histFlash} {
+		for i := range h {
+			h[i] = binary.LittleEndian.Uint64(b)
+			b = b[8:]
+		}
 	}
-	for i := range r.histFlash {
-		r.histFlash[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	r.writes = binary.LittleEndian.Uint64(b)
-	b = b[8:]
 	copy(r.wmax, b)
 	b = b[len(r.wmax):]
 	for i := range r.wbHist {
 		r.wbHist[i] = binary.LittleEndian.Uint64(b)
 		b = b[8:]
 	}
+	return b
+}
+
+// AppendState serializes the group's mutable state onto b.
+func (g *Group) AppendState(b []byte) []byte {
+	b = g.filter.appendState(b)
+	for _, r := range g.refinements {
+		b = r.appendState(b)
+	}
+	return b
+}
+
+// RestoreState loads state previously produced by AppendState for the
+// same configuration group.
+func (g *Group) RestoreState(b []byte) error {
+	want := filterStateLen
+	for _, r := range g.refinements {
+		want += r.stateLen()
+	}
+	if len(b) != want {
+		return fmt.Errorf("stack: group state blob is %d bytes, want %d for the %dB LRU group",
+			len(b), want, g.lineBytes)
+	}
+	b = g.filter.restoreState(b)
+	for _, r := range g.refinements {
+		b = r.restoreState(b)
+	}
 	return nil
 }
 
 func (v *familyVariant) stateLen() int {
-	return 8*8 + 4 + 4*len(v.lines) + len(v.rr) + len(v.plru) + len(v.dirty)
+	return 4*8 + 4*len(v.lines) + len(v.rr) + len(v.plru) + len(v.dirty)
 }
 
 func (v *familyVariant) appendState(b []byte) []byte {
-	for _, x := range []uint64{
-		v.res.Accesses, v.res.Misses, v.res.RAMRefs, v.res.FlashRefs,
-		v.res.RAMMisses, v.res.FlashMisses, v.res.Writes, v.res.Writebacks,
-	} {
+	for _, x := range []uint64{v.res.Misses, v.res.RAMMisses, v.res.FlashMisses, v.res.Writebacks} {
 		b = binary.LittleEndian.AppendUint64(b, x)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(v.lastIdx))
 	for _, x := range v.lines {
 		b = binary.LittleEndian.AppendUint32(b, x)
 	}
@@ -96,15 +128,10 @@ func (v *familyVariant) appendState(b []byte) []byte {
 }
 
 func (v *familyVariant) restoreState(b []byte) []byte {
-	for _, p := range []*uint64{
-		&v.res.Accesses, &v.res.Misses, &v.res.RAMRefs, &v.res.FlashRefs,
-		&v.res.RAMMisses, &v.res.FlashMisses, &v.res.Writes, &v.res.Writebacks,
-	} {
+	for _, p := range []*uint64{&v.res.Misses, &v.res.RAMMisses, &v.res.FlashMisses, &v.res.Writebacks} {
 		*p = binary.LittleEndian.Uint64(b)
 		b = b[8:]
 	}
-	v.lastIdx = int32(binary.LittleEndian.Uint32(b))
-	b = b[4:]
 	for i := range v.lines {
 		v.lines[i] = binary.LittleEndian.Uint32(b)
 		b = b[4:]
@@ -121,11 +148,7 @@ func (v *familyVariant) restoreState(b []byte) []byte {
 
 // AppendState serializes the family's mutable state onto b.
 func (f *Family) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, f.last)
-	b = binary.LittleEndian.AppendUint32(b, f.last2)
-	for _, x := range []uint64{f.totRAM, f.totFlash, f.totWrites} {
-		b = binary.LittleEndian.AppendUint64(b, x)
-	}
+	b = f.filter.appendState(b)
 	for _, v := range f.variants {
 		b = v.appendState(b)
 	}
@@ -135,7 +158,7 @@ func (f *Family) AppendState(b []byte) []byte {
 // RestoreState loads state previously produced by AppendState for the
 // same configuration group.
 func (f *Family) RestoreState(b []byte) error {
-	want := 4 + 4 + 3*8
+	want := filterStateLen
 	for _, v := range f.variants {
 		want += v.stateLen()
 	}
@@ -143,14 +166,7 @@ func (f *Family) RestoreState(b []byte) error {
 		return fmt.Errorf("stack: family state blob is %d bytes, want %d for %s/%dB family",
 			len(b), want, f.policy, f.lineBytes)
 	}
-	f.last = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	f.last2 = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	for _, p := range []*uint64{&f.totRAM, &f.totFlash, &f.totWrites} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
+	b = f.filter.restoreState(b)
 	for _, v := range f.variants {
 		b = v.restoreState(b)
 	}

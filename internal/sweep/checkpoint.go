@@ -44,7 +44,7 @@ func (o Options) checkpointEvery() int {
 }
 
 // stateful is the checkpointable face of a unit. Every unit kind — the
-// direct cache.Cache, the stack engine's Refinement and Family, and the
+// direct cache.Cache, the stack engine's Group and Family, and the
 // OPT direct simulator and Family — implements it.
 type stateful interface {
 	AppendState(b []byte) []byte

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"palmsim/internal/cache"
 	"palmsim/internal/cache/opt"
+	"palmsim/internal/cache/stack"
 	"palmsim/internal/simerr"
 )
 
@@ -462,5 +464,138 @@ func TestResumeRejectsForeignPolicySidecar(t *testing.T) {
 	// The original configuration set still resumes cleanly.
 	if err := resume(geoms); err != nil {
 		t.Errorf("original config set failed to resume: %v", err)
+	}
+}
+
+// loopTrace is a repeat-rich kinded trace: runs of flash fetches, a few
+// per line, interleaved with reads and writes near a moving RAM data
+// pointer, so most references are same-line repeats or A-B-A returns —
+// the references a line-size group's stage-1 filter drops, carrying
+// its last-line state across chunk boundaries.
+func loopTrace(n int) ([]uint32, []uint8) {
+	rng := rand.New(rand.NewSource(77))
+	trace := make([]uint32, n)
+	kinds := make([]uint8, n)
+	pc, data := uint32(0x10000000), uint32(0x2000)
+	for i := range trace {
+		if i%2 == 0 {
+			pc += 2
+			if rng.Intn(30) == 0 {
+				pc = 0x10000000 + uint32(rng.Intn(1<<14))&^1
+			}
+			trace[i], kinds[i] = pc, cache.KindFetch
+			continue
+		}
+		if rng.Intn(10) == 0 {
+			data = uint32(rng.Intn(1 << 15))
+		}
+		trace[i], kinds[i] = data+uint32(rng.Intn(8)), cache.KindRead
+		if rng.Intn(3) == 0 {
+			kinds[i] = cache.KindWrite
+		}
+	}
+	return trace, kinds
+}
+
+// TestCheckpointResumeGroupedLRU interrupts the paper's LRU grid — two
+// line-size units behind their stage-1 filters — mid-sweep at workers 1,
+// 2 and 4, resumes each sidecar at workers 1, 2 and 4, and demands the
+// direct oracle's results, address-only and kinded write-back.
+func TestCheckpointResumeGroupedLRU(t *testing.T) {
+	trace, kinds := loopTrace(30_000)
+	if info, err := Plan(Options{}, cache.PaperSweep()); err != nil || info.Units != 2 {
+		t.Fatalf("paper grid plans %d units (err %v), want 2 line-size groups", info.Units, err)
+	}
+	for _, wp := range []cache.WritePolicy{cache.WriteIgnore, cache.WriteBack} {
+		cfgs := cache.PaperSweep()
+		for i := range cfgs {
+			cfgs[i].Write = wp
+		}
+		kinded := wp != cache.WriteIgnore
+		var k []uint8
+		if kinded {
+			k = kinds
+		}
+		want := directKindedOracle(t, cfgs, trace, k)
+		source := func(after int, cancel context.CancelFunc) Source {
+			if kinded {
+				return &kindedCountingSource{inner: NewKindedSliceSource(trace, kinds), after: after, cancel: cancel}
+			}
+			return &countingSource{inner: NewSliceSource(trace), after: after, cancel: cancel}
+		}
+		for _, wrote := range []int{1, 2, 4} {
+			for _, resumed := range []int{1, 2, 4} {
+				name := fmt.Sprintf("%v workers %d→%d", wp, wrote, resumed)
+				path := filepath.Join(t.TempDir(), "lru.ckpt")
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err := Run(ctx, cfgs, source(11, cancel), Options{
+					Workers: wrote, ChunkRefs: 999, CheckpointPath: path, CheckpointEveryChunks: 4,
+				})
+				cancel()
+				if !simerr.IsCanceled(err) {
+					t.Fatalf("%s: interrupted run: err = %v, want cancellation", name, err)
+				}
+				if _, err := os.Stat(path); err != nil {
+					t.Fatalf("%s: no sidecar after cancellation: %v", name, err)
+				}
+				got, err := Run(context.Background(), cfgs, source(-1, nil), Options{
+					Workers: resumed, ChunkRefs: 999, CheckpointPath: path, Resume: true,
+				})
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s: %v diverged after resume: got %+v want %+v", name, cfgs[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// blobUnit is a stand-in unit whose checkpoint blob is fixed bytes, for
+// writing sidecars in layouts the engine no longer produces.
+type blobUnit []byte
+
+func (blobUnit) AccessAll([]uint32)            {}
+func (u blobUnit) AppendState(b []byte) []byte { return append(b, u...) }
+func (blobUnit) RestoreState([]byte) error     { return nil }
+
+// TestResumeRejectsPerRefinementSidecar: sidecars written before LRU
+// refinements were grouped per line size hold one blob per refinement
+// (recency lists, two depth histograms, a write counter). Resuming one
+// must fail with ErrBadCheckpoint, never panic or resume — both when the
+// unit counts differ (the paper grid: 20 blobs for 2 units) and when
+// they coincide (one geometry per line size).
+func TestResumeRejectsPerRefinementSidecar(t *testing.T) {
+	trace := fixedTrace(5_000)
+	for _, cfgs := range [][]cache.Config{
+		cache.PaperSweep(),
+		{{SizeBytes: 1 << 10, LineBytes: 16, Ways: 2}, {SizeBytes: 1 << 10, LineBytes: 32, Ways: 2}},
+	} {
+		e, err := stack.New(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var units []unit
+		for _, r := range e.Refinements() {
+			units = append(units, make(blobUnit, 4*r.Sets()*r.Depth()+2*8*(r.Depth()+1)+8))
+		}
+		path := filepath.Join(t.TempDir(), "old.ckpt")
+		ck, err := newCheckpointer(path, 1, units, configHash(cfgs, EngineStack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.consumed(1000)
+		if err := ck.save(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunTrace(context.Background(), cfgs, trace, Options{
+			Workers: 2, Engine: EngineStack, CheckpointPath: path, Resume: true,
+		})
+		if !errors.Is(err, simerr.ErrBadCheckpoint) {
+			t.Errorf("%d-config grid, %d-refinement sidecar: err = %v, want ErrBadCheckpoint", len(cfgs), len(units), err)
+		}
 	}
 }

@@ -10,9 +10,12 @@
 // cache.Cache per configuration — 56 independent caches. The stack
 // engine (internal/cache/stack) exploits the LRU inclusion property to
 // collapse all configurations sharing a (line size, set count) geometry
-// into one single-pass refinement — 20 units for the paper sweep —
-// serves FIFO and PLRU through single-pass per-line-size families, and
-// falls back to direct simulation only for Random (private PRNG state).
+// into one single-pass refinement, and runs all refinements of one line
+// size as one unit behind a shared stage-1 filter — 2 units for the
+// paper sweep, so LRU parallelism is per line size (more cores than line
+// sizes buys the LRU grid nothing). It serves FIFO and PLRU through
+// single-pass per-line-size families, and falls back to direct
+// simulation only for Random (private PRNG state).
 // OPT (Belady) configurations are served by internal/cache/opt under
 // either engine: Run materializes the trace, computes the per-line-size
 // next-use annotation, and then streams the buffered trace through the
@@ -237,7 +240,7 @@ func (o Options) engine() Engine {
 }
 
 // unit is one independently advanceable simulation shard: a direct
-// cache.Cache, a stack-engine refinement or family, or an OPT family.
+// cache.Cache, a stack-engine line-size group or family, or an OPT family.
 // No unit is ever touched by two goroutines, and each observes the
 // complete trace in order.
 type unit interface {
@@ -454,7 +457,7 @@ func Plan(opts Options, cfgs []cache.Config) (PlanInfo, error) {
 // chunk is one block of references broadcast to every worker. kinds is
 // nil on address-only sweeps and exactly parallel to refs on kinded
 // ones. pending counts the workers that have not finished with it yet;
-// the last one returns the buffers to the pools.
+// the last one returns the chunk to the free list.
 type chunk struct {
 	refs    []uint32
 	kinds   []uint8
@@ -716,8 +719,12 @@ func runSerial(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 // workers·queueDepth chunks — so no goroutine or pooled buffer leaks.
 func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
 	units := p.units
-	pool := sync.Pool{New: func() any { return make([]uint32, chunkRefs) }}
-	kpool := sync.Pool{New: func() any { return make([]uint8, chunkRefs) }}
+	// Retired chunks go back to the producer through a free list sized
+	// for every chunk that can be alive at once: the slowest worker's
+	// current chunk and queued ones plus the producer's. (A sync.Pool
+	// parks the last buffer a worker returns in that worker's per-P
+	// slot, out of the producer's reach, so it allocated one more.)
+	free := make(chan *chunk, queueDepth+2)
 	queues := make([]chan *chunk, workers)
 	for w := range queues {
 		queues[w] = make(chan *chunk, queueDepth)
@@ -750,9 +757,9 @@ func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource
 				m.workerDone(wid, len(shard))
 				if atomic.AddInt32(&ck.pending, -1) == 0 {
 					m.retired()
-					pool.Put(ck.refs[:cap(ck.refs)])
-					if ck.kinds != nil {
-						kpool.Put(ck.kinds[:cap(ck.kinds)])
+					select {
+					case free <- ck:
+					default:
 					}
 					inflight.Done()
 				}
@@ -767,36 +774,37 @@ func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource
 			runErr = simerr.CanceledChunk(ctx, "sweep: produce", produced)
 			break
 		}
-		buf := pool.Get().([]uint32)[:chunkRefs]
-		var kbuf []uint8
+		var c *chunk
+		select {
+		case c = <-free:
+		default:
+			c = &chunk{refs: make([]uint32, chunkRefs)}
+			if ks != nil {
+				c.kinds = make([]uint8, chunkRefs)
+			}
+		}
+		c.refs = c.refs[:chunkRefs]
 		var n int
 		var err error
 		if ks != nil {
-			kbuf = kpool.Get().([]uint8)[:chunkRefs]
-			n, err = ks.NextChunkKinded(buf, kbuf)
+			c.kinds = c.kinds[:chunkRefs]
+			n, err = ks.NextChunkKinded(c.refs, c.kinds)
 		} else {
-			n, err = src.NextChunk(buf)
+			n, err = src.NextChunk(c.refs)
 		}
 		eof := err == io.EOF
 		if err != nil && !eof {
 			runErr = err
-			pool.Put(buf)
-			if kbuf != nil {
-				kpool.Put(kbuf)
-			}
 			break
 		}
 		if n == 0 {
-			pool.Put(buf)
-			if kbuf != nil {
-				kpool.Put(kbuf)
-			}
 			break
 		}
-		c := &chunk{refs: buf[:n], pending: int32(workers)}
-		if kbuf != nil {
-			c.kinds = kbuf[:n]
+		c.refs = c.refs[:n]
+		if ks != nil {
+			c.kinds = c.kinds[:n]
 		}
+		c.pending = int32(workers)
 		m.produced(n)
 		inflight.Add(1)
 		for _, q := range queues {
